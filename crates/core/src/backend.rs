@@ -30,7 +30,6 @@ pub use bbr_scenario::{CHAIN_ACCESS_DELAY, PARKING_LOT_ACCESS_DELAY};
 use crate::cca::{build, FluidCca, ScenarioHint};
 use crate::config::ModelConfig;
 use crate::metrics::AggregateMetrics;
-use crate::scenario::Scenario;
 use crate::sim::Simulator;
 use crate::topology::{LinkId, LinkSpec, Network, PathSpec};
 
@@ -59,18 +58,27 @@ impl SimBackend for FluidBackend {
     }
 
     fn run(&self, spec: &ScenarioSpec, _seed: u64) -> RunOutcome {
-        spec.validate().expect("invalid scenario spec");
-        let net = network_for_spec(spec);
-        let agents = agents_for_spec(spec, &net, &self.cfg);
-        let mut sim = if spec.has_schedule() {
-            let schedules: Vec<_> = (0..spec.n_flows()).map(|i| spec.windows_of(i)).collect();
-            Simulator::with_flow_schedules(net, self.cfg.clone(), agents, &schedules)
-        } else {
-            Simulator::with_activity(net, self.cfg.clone(), agents, &spec.churn)
-        }
-        .expect("validated spec must build");
+        let mut sim = simulator_for_spec(spec, &self.cfg).expect("invalid scenario spec");
         let metrics = sim.run(spec.duration).metrics;
         outcome_from_metrics(spec, &metrics)
+    }
+}
+
+/// The scalar [`Simulator`] of `spec` under `cfg`: the one fluid
+/// constructor. [`FluidBackend::run`] is this plus `run(spec.duration)`;
+/// callers that need the simulator itself (trace recording, agent
+/// telemetry, manual stepping) build it here. Flows follow the spec's
+/// activity windows; invalid specs are rejected with the validation
+/// message.
+pub fn simulator_for_spec(spec: &ScenarioSpec, cfg: &ModelConfig) -> Result<Simulator, String> {
+    spec.validate()?;
+    let net = network_for_spec(spec);
+    let agents = agents_for_spec(spec, &net, cfg);
+    if spec.has_schedule() {
+        let schedules: Vec<_> = (0..spec.n_flows()).map(|i| spec.windows_of(i)).collect();
+        Simulator::with_flow_schedules(net, cfg.clone(), agents, &schedules)
+    } else {
+        Simulator::with_activity(net, cfg.clone(), agents, &spec.churn)
     }
 }
 
@@ -87,9 +95,40 @@ pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
             buffer_bdp,
             rtt_lo,
             rtt_hi,
-        } => Scenario::dumbbell(n, capacity, bottleneck_delay, buffer_bdp, spec.qdisc)
-            .rtt_range(rtt_lo, rtt_hi)
-            .network(),
+        } => {
+            // The buffer is measured in BDP of the bottleneck link
+            // (`capacity · bottleneck_delay`, §4.1.3), not of any path.
+            let link = LinkSpec {
+                capacity,
+                buffer: buffer_bdp * capacity * bottleneck_delay,
+                prop_delay: bottleneck_delay,
+                qdisc: spec.qdisc,
+            };
+            let paths = (0..n)
+                .map(|i| {
+                    // Total propagation RTTs spread evenly over
+                    // [rtt_lo, rtt_hi] (a lone sender takes the midpoint);
+                    // RTT = 2·(access + bottleneck delay).
+                    let frac = if n > 1 {
+                        i as f64 / (n - 1) as f64
+                    } else {
+                        0.5
+                    };
+                    let rtt = rtt_lo + frac * (rtt_hi - rtt_lo);
+                    let access = (rtt / 2.0 - bottleneck_delay).max(0.0);
+                    PathSpec {
+                        links: vec![LinkId(0)],
+                        extra_fwd_delay: access,
+                        // Return path: bottleneck + access delay again.
+                        extra_bwd_delay: access + bottleneck_delay,
+                    }
+                })
+                .collect();
+            Network {
+                links: vec![link],
+                paths,
+            }
+        }
         Topology::ParkingLot { .. } => parking_lot_network(spec),
         Topology::Chain { .. } => chain_network(spec),
         Topology::Custom { .. } => custom_network(spec),
@@ -281,23 +320,40 @@ mod tests {
     use bbr_scenario::CcaKind;
 
     #[test]
-    fn dumbbell_outcome_matches_direct_simulation() {
-        let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 2.0)
-            .ccas(vec![CcaKind::BbrV1, CcaKind::Reno])
-            .duration(1.5);
-        let out = FluidBackend::coarse().run(&spec, 7);
-        // Same scenario built by hand must give identical numbers — the
-        // backend is a pure adapter.
-        let scenario = Scenario::dumbbell(2, 50.0, 0.010, 2.0, spec.qdisc)
-            .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&spec.ccas).unwrap();
-        let m = sim.run(1.5).metrics;
-        assert_eq!(out.utilization_percent, m.utilization_percent);
-        assert_eq!(out.jain, m.jain);
-        assert_eq!(out.flows.len(), 2);
-        assert_eq!(out.flows[0].cca, CcaKind::BbrV1);
-        assert_eq!(out.flows[1].cca, CcaKind::Reno);
+    fn rtt_range_spreads_evenly() {
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, 1.0).rtt_range(0.030, 0.040);
+        let net = network_for_spec(&spec);
+        assert!((net.prop_rtt(0) - 0.030).abs() < 1e-9);
+        assert!((net.prop_rtt(9) - 0.040).abs() < 1e-9);
+        // Monotone spread.
+        for i in 1..10 {
+            assert!(net.prop_rtt(i) > net.prop_rtt(i - 1));
+        }
+    }
+
+    #[test]
+    fn build_assigns_kinds_round_robin() {
+        let spec =
+            ScenarioSpec::dumbbell(4, 100.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1, CcaKind::Reno]);
+        let sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
+        assert_eq!(sim.agents()[0].kind(), CcaKind::BbrV1);
+        assert_eq!(sim.agents()[1].kind(), CcaKind::Reno);
+        assert_eq!(sim.agents()[2].kind(), CcaKind::BbrV1);
+        assert_eq!(sim.agents()[3].kind(), CcaKind::Reno);
+    }
+
+    #[test]
+    fn empty_kinds_rejected() {
+        let mut spec = ScenarioSpec::dumbbell(2, 100.0, 0.010, 1.0);
+        spec.ccas.clear();
+        assert!(simulator_for_spec(&spec, &ModelConfig::default()).is_err());
+    }
+
+    #[test]
+    fn single_sender_uses_midpoint_rtt() {
+        let spec = ScenarioSpec::dumbbell(1, 100.0, 0.010, 1.0).rtt_range(0.030, 0.040);
+        let net = network_for_spec(&spec);
+        assert!((net.prop_rtt(0) - 0.035).abs() < 1e-9);
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //! use bbr_fluid_core::prelude::*;
 //!
 //! // One BBRv1 flow through a 100 Mbit/s, 10 ms bottleneck with a 1-BDP
-//! // drop-tail buffer (the paper's trace-validation setting, §4.2).
-//! let scenario = Scenario::dumbbell(1, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-//!     .access_delays(vec![0.0056]);
-//! let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-//! let report = sim.run(2.0);
+//! // drop-tail buffer and a 5.6 ms access delay (the paper's
+//! // trace-validation setting, §4.2): a one-link custom layout.
+//! let spec = ScenarioSpec::custom(
+//!     vec![CustomLink::new(100.0, 0.010, 1.0)],
+//!     vec![CustomRoute::new(vec![0], 0.0056, 0.0056 + 0.010)],
+//! )
+//! .ccas(vec![CcaKind::BbrV1])
+//! .duration(2.0);
+//! let mut sim = simulator_for_spec(&spec, &ModelConfig::default()).unwrap();
+//! let report = sim.run(spec.duration);
 //! assert!(report.metrics.utilization_percent > 80.0);
 //! ```
 //!
@@ -33,23 +38,23 @@ pub mod lanes;
 pub mod math;
 pub mod metrics;
 pub mod queue;
-pub mod scenario;
 pub mod sim;
 pub mod topology;
 pub mod trace;
 
 /// Convenient re-exports of the items needed by typical simulations.
 pub mod prelude {
-    pub use crate::backend::FluidBackend;
+    pub use crate::backend::{simulator_for_spec, FluidBackend};
     pub use crate::cca::{CcaKind, FluidCca, ScenarioHint};
     pub use crate::config::ModelConfig;
     pub use crate::metrics::{jain_fairness, AggregateMetrics};
-    pub use crate::scenario::Scenario;
     pub use crate::sim::{RunReport, Simulator};
     pub use crate::topology::{LinkId, LinkSpec, Network, PathSpec, QdiscKind};
     pub use crate::trace::Trace;
     pub use crate::MSS_MBIT;
-    pub use bbr_scenario::{FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology};
+    pub use bbr_scenario::{
+        CustomLink, CustomRoute, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology,
+    };
 }
 
 /// One maximum-segment-size packet (1500 bytes) expressed in Mbit.

@@ -569,21 +569,26 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{network_for_spec, simulator_for_spec};
     use crate::cca::{build, CcaKind, ScenarioHint};
-    use crate::topology::{dumbbell, QdiscKind};
+    use crate::topology::QdiscKind;
+    use bbr_scenario::{CustomLink, CustomRoute, ScenarioSpec};
+
+    /// `access` one-way access delays in front of one 100 Mbit/s, 10 ms
+    /// bottleneck; the return path adds the bottleneck delay once more.
+    fn access_dumbbell(buffer_bdp: f64, access: &[f64]) -> ScenarioSpec {
+        let routes = access
+            .iter()
+            .map(|&d| CustomRoute::new(vec![0], d, d + 0.010))
+            .collect();
+        ScenarioSpec::custom(vec![CustomLink::new(100.0, 0.010, buffer_bdp)], routes)
+    }
 
     fn make_sim(kind: CcaKind, buffer_bdp: f64, qdisc: QdiscKind) -> Simulator {
-        let net = dumbbell(1, 100.0, 0.010, buffer_bdp, qdisc, &[0.0056]);
-        let cfg = ModelConfig::coarse();
-        let hint = ScenarioHint {
-            capacity: 100.0,
-            prop_rtt: net.prop_rtt(0),
-            n_agents: 1,
-            buffer: net.links[0].buffer,
-            agent_index: 0,
-        };
-        let agents = vec![build(kind, &hint, &cfg)];
-        Simulator::new(net, cfg, agents).unwrap()
+        let spec = access_dumbbell(buffer_bdp, &[0.0056])
+            .ccas(vec![kind])
+            .qdisc(qdisc);
+        simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap()
     }
 
     #[test]
@@ -667,7 +672,7 @@ mod tests {
 
     #[test]
     fn agent_count_mismatch_rejected() {
-        let net = dumbbell(2, 100.0, 0.01, 1.0, QdiscKind::DropTail, &[0.005, 0.005]);
+        let net = network_for_spec(&access_dumbbell(1.0, &[0.005, 0.005]));
         let cfg = ModelConfig::coarse();
         let hint = ScenarioHint {
             capacity: 100.0,

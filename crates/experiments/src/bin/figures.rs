@@ -532,19 +532,7 @@ fn run_universe_cmd(args: &[String], effort: Effort) {
             std::process::exit(2);
         }
     };
-    let backend = match flag_value(args, "--backend") {
-        Some("fluid") => Backend::Fluid,
-        Some("fluid-batch") => Backend::FluidBatch,
-        Some("fluid-simd") => Backend::FluidSimd,
-        Some("packet") => Backend::Packet,
-        Some("both") | None => Backend::Both,
-        Some(other) => {
-            eprintln!(
-                "unknown backend: {other} (expected fluid|fluid-batch|fluid-simd|packet|both)"
-            );
-            std::process::exit(2);
-        }
-    };
+    let backend = parse_backend(args);
     eprintln!(
         "universe sweep: {cells} generated cells (seed {seed:#x}) on {} thread(s)...",
         rayon::current_num_threads()
@@ -868,11 +856,10 @@ fn parse_cca_combo(label: &str) -> bbr_experiments::scenarios::Combo {
     }
 }
 
-/// The `sweep` subcommand: the paper-shaped grid (all seven CCA mixes ×
-/// buffer sizes × both qdiscs, or a single `--cca` mix) fanned out over
-/// the cores.
-fn run_sweep(args: &[String], effort: Effort) {
-    let backend = match flag_value(args, "--backend") {
+/// The `--backend` selection of the `sweep` and `universe` subcommands
+/// (default `both`); an unknown name exits with status 2.
+fn parse_backend(args: &[String]) -> Backend {
+    match flag_value(args, "--backend") {
         Some("fluid") => Backend::Fluid,
         Some("fluid-batch") => Backend::FluidBatch,
         Some("fluid-simd") => Backend::FluidSimd,
@@ -884,7 +871,14 @@ fn run_sweep(args: &[String], effort: Effort) {
             );
             std::process::exit(2);
         }
-    };
+    }
+}
+
+/// The `sweep` subcommand: the paper-shaped grid (all seven CCA mixes ×
+/// buffer sizes × both qdiscs, or a single `--cca` mix) fanned out over
+/// the cores.
+fn run_sweep(args: &[String], effort: Effort) {
+    let backend = parse_backend(args);
     let topologies = parse_topologies(args, vec![TopologyKind::Dumbbell]);
     // Full effort runs the §4.3 campaign (N = 10, 5 s windows, 3 runs);
     // --fast its reduced variant — same split as the figure generators.

@@ -3,8 +3,9 @@
 //! the paper names as future work, and ablations of the fluid-model
 //! knobs.
 
-use bbr_fluid_core::cca::{BbrV2, CcaKind, FluidCca, WhiInit};
-use bbr_fluid_core::config::{ModelConfig, ResetMode};
+use bbr_fluid_core::backend::{hint_for_flow, network_for_spec};
+use bbr_fluid_core::cca::{BbrV2, WhiInit};
+use bbr_fluid_core::config::ResetMode;
 use bbr_fluid_core::prelude::*;
 use bbr_packetsim::backend::PacketBackend;
 
@@ -56,15 +57,15 @@ pub fn insight5(effort: Effort) -> FigureOutput {
     for b in &buffers {
         let mut row = vec![table::f1(*b)];
         for (_, init) in &inits {
-            let scenario = Scenario::dumbbell(n, 100.0, 0.010, *b, QdiscKind::DropTail)
-                .rtt_range(0.030, 0.040)
-                .config(cfg.clone());
-            let init = *init;
-            let mut sim = scenario
-                .build_with(|_i, hint, cfg| {
-                    Box::new(BbrV2::with_whi_init(hint, cfg, init)) as Box<dyn FluidCca>
+            let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, *b).rtt_range(0.030, 0.040);
+            let net = network_for_spec(&spec);
+            let agents = (0..spec.n_flows())
+                .map(|i| {
+                    let hint = hint_for_flow(&net, i);
+                    Box::new(BbrV2::with_whi_init(&hint, &cfg, *init)) as Box<dyn FluidCca>
                 })
-                .unwrap();
+                .collect();
+            let mut sim = Simulator::new(net, cfg.clone(), agents).unwrap();
             let m = sim.run(duration).metrics;
             row.push(table::f1(m.occupancy_percent));
         }
@@ -197,10 +198,10 @@ pub fn startup(effort: Effort) -> FigureOutput {
     .collect();
     let mut rows = Vec::new();
     for b in &buffers {
-        let scenario = Scenario::dumbbell(n, 100.0, 0.010, *b, QdiscKind::DropTail)
+        let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, *b)
             .rtt_range(0.030, 0.040)
-            .config(cfg.clone());
-        let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+            .ccas(vec![CcaKind::BbrV2]);
+        let mut sim = simulator_for_spec(&spec, &cfg).unwrap();
         let m = sim.run(duration).metrics;
         // Count agents whose inflight_hi was materialized during start-up.
         let mut telemetry = Vec::new();
@@ -299,10 +300,10 @@ pub fn ablation(effort: Effort) -> FigureOutput {
         .collect();
     let mut rows = Vec::new();
     for (label, cfg) in variants {
-        let scenario = Scenario::dumbbell(4, 100.0, 0.010, 1.0, QdiscKind::DropTail)
+        let spec = ScenarioSpec::dumbbell(4, 100.0, 0.010, 1.0)
             .rtt_range(0.030, 0.040)
-            .config(cfg);
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+            .ccas(vec![CcaKind::BbrV1]);
+        let mut sim = simulator_for_spec(&spec, &cfg).unwrap();
         let m = sim.run(duration).metrics;
         rows.push(vec![
             label,

@@ -5,11 +5,13 @@
 //! The single-sender validation setting of §4.2: C = 100 Mbit/s,
 //! bottleneck delay 10 ms, access delay 5.6 ms, 1-BDP buffer.
 
-use bbr_fluid_core::cca::CcaKind;
+use bbr_fluid_core::backend::network_for_spec;
 use bbr_fluid_core::prelude::*;
-use bbr_packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
+use bbr_packetsim::backend::path_network_for_spec;
 use bbr_packetsim::engine::{PacketTrace, SimConfig};
+use bbr_packetsim::path::run_path;
 
+use crate::aggregate::model_config;
 use crate::figures::FigureOutput;
 use crate::table;
 use crate::Effort;
@@ -18,40 +20,35 @@ const CAPACITY: f64 = 100.0;
 const BOTTLENECK_DELAY: f64 = 0.010;
 const ACCESS_DELAY: f64 = 0.0056;
 
-fn model_config(effort: Effort) -> ModelConfig {
-    if effort.is_fast() {
-        ModelConfig::coarse()
-    } else {
-        ModelConfig {
-            dt: 2e-5,
-            ..ModelConfig::default()
-        }
-    }
+/// The validation dumbbell with one sender per entry of `kinds`, each
+/// behind the explicit 5.6 ms access delay: a one-link custom layout,
+/// because an RTT range `[r, r]` would round the access delay
+/// (0.0056 → 0.005599999999999999) and move every trace.
+fn validation_spec(kinds: &[CcaKind], qdisc: QdiscKind) -> ScenarioSpec {
+    let routes = kinds
+        .iter()
+        .map(|_| CustomRoute::new(vec![0], ACCESS_DELAY, ACCESS_DELAY + BOTTLENECK_DELAY))
+        .collect();
+    ScenarioSpec::custom(
+        vec![CustomLink::new(CAPACITY, BOTTLENECK_DELAY, 1.0)],
+        routes,
+    )
+    .ccas(kinds.to_vec())
+    .qdisc(qdisc)
 }
 
 /// Run the fluid model for `kinds` and return the trace.
 fn model_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, effort: Effort) -> Trace {
-    let n = kinds.len();
-    let scenario = Scenario::dumbbell(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-        .access_delays(vec![ACCESS_DELAY; n])
-        .config(model_config(effort));
-    let mut sim = scenario.build(kinds).unwrap();
+    let cfg = model_config(effort);
     // ≈ 2000 samples regardless of step size.
-    let stride = ((duration / sim_dt(effort)) / 2000.0).ceil() as usize;
+    let stride = ((duration / cfg.dt) / 2000.0).ceil() as usize;
+    let mut sim = simulator_for_spec(&validation_spec(kinds, qdisc), &cfg).unwrap();
     sim.enable_trace(stride.max(1));
     sim.run(duration).trace.unwrap()
 }
 
-fn sim_dt(effort: Effort) -> f64 {
-    model_config(effort).dt
-}
-
 /// Run the packet simulator and return its binned trace.
 fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64) -> PacketTrace {
-    let n = kinds.len();
-    let spec = DumbbellSpec::new(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-        .access_delays(vec![ACCESS_DELAY; n])
-        .ccas(kinds.to_vec());
     let cfg = SimConfig {
         duration,
         warmup: 0.0,
@@ -59,7 +56,8 @@ fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64
         trace_bin: Some(bin),
         ..Default::default()
     };
-    run_dumbbell(&spec, &cfg).trace.unwrap()
+    let net = path_network_for_spec(&validation_spec(kinds, qdisc));
+    run_path(&net, &cfg).trace.unwrap()
 }
 
 /// Sample a model trace at (approximately) time `t`.
@@ -234,11 +232,7 @@ fn trace_validation(
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let buffer = {
-            let s = Scenario::dumbbell(1, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-                .access_delays(vec![ACCESS_DELAY]);
-            s.network().links[0].buffer
-        };
+        let buffer = network_for_spec(&validation_spec(&[kind], qdisc)).links[0].buffer;
         let mut rows = Vec::new();
         let mut t = step;
         while t <= duration + 1e-9 {

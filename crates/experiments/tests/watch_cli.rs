@@ -5,8 +5,10 @@
 //! included), and the full campaign → watch → resume loop (a watched
 //! store still resumes with `computed=0`).
 
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bbr_campaign::store::record_to_line;
 use bbr_campaign::{
@@ -20,11 +22,34 @@ fn figures() -> Command {
     Command::new(env!("CARGO_BIN_EXE_figures"))
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bbr-watch-cli-{tag}-{}", std::process::id()));
+/// A scratch directory private to one call: tests run in parallel
+/// threads of one process, so the name carries a per-call counter
+/// besides the tag and pid. Removed on drop, also when the test fails.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn fresh_dir(tag: &str) -> TempDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "bbr-watch-cli-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn spec(buffer: f64, ccas: Vec<CcaKind>) -> ScenarioSpec {
@@ -91,7 +116,7 @@ fn append(path: &Path, line: &str) {
 /// telemetry from two worker shards mid-flight. Hand-crafted — not real
 /// sim output — so every number in the golden frame is pinned and
 /// platform-independent.
-fn golden_fixture() -> PathBuf {
+fn golden_fixture() -> TempDir {
     let dir = fresh_dir("golden");
     let plan = plan_of(vec![
         spec(1.0, vec![CcaKind::BbrV1]),
@@ -207,7 +232,6 @@ fn golden_frame_for_the_pinned_fixture() {
         "transposed heatmap missing: {frame}"
     );
     assert!(frame.contains("BBRv1"), "{frame}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -253,13 +277,12 @@ fn json_frame_is_golden_for_the_pinned_fixture() {
     // --json without --once is refused: the live loop is a terminal UI.
     let live = figures()
         .args(["watch", "--json", "--store"])
-        .arg(&dir)
+        .arg(&*dir)
         .output()
         .expect("spawn figures watch --json");
     assert_eq!(live.status.code(), Some(2));
     let err = String::from_utf8_lossy(&live.stderr);
     assert!(err.contains("--json requires --once"), "{err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -295,7 +318,6 @@ fn golden_frame_for_a_degenerate_one_cell_grid() {
         dir = dir.display()
     );
     assert_eq!(frame, expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -351,13 +373,12 @@ fn watching_never_changes_a_byte_of_the_store_or_sidecar() {
         snapshot(&dir),
         "watching must not change any store byte"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn watched_campaign_still_resumes_with_zero_recomputes() {
     let store = fresh_dir("e2e");
-    std::fs::remove_dir_all(&store).unwrap(); // campaign creates it
+    std::fs::remove_dir_all(&*store).unwrap(); // campaign creates it
     let cold = figures()
         .args([
             "campaign",
@@ -368,7 +389,7 @@ fn watched_campaign_still_resumes_with_zero_recomputes() {
             "dumbbell",
             "--store",
         ])
-        .arg(&store)
+        .arg(&*store)
         .output()
         .expect("spawn figures campaign");
     assert!(
@@ -425,7 +446,7 @@ fn watched_campaign_still_resumes_with_zero_recomputes() {
             "--resume",
             "--store",
         ])
-        .arg(&store)
+        .arg(&*store)
         .output()
         .expect("spawn figures campaign --resume");
     assert!(
@@ -435,7 +456,6 @@ fn watched_campaign_still_resumes_with_zero_recomputes() {
     );
     let warm_stdout = String::from_utf8_lossy(&warm.stdout);
     assert!(warm_stdout.contains("computed=0"), "{warm_stdout}");
-    std::fs::remove_dir_all(&store).unwrap();
 }
 
 #[test]
@@ -445,5 +465,4 @@ fn watch_refuses_a_directory_without_a_plan() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("plan.json"), "{err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,7 +5,6 @@
 //! cargo run --release -p bbr-packetsim --example packet_dumbbell -- [reno|cubic|bbr1|bbr2] [dt|red] [n] [capacity_mbps]
 //! ```
 
-use bbr_packetsim::engine::SimConfig;
 use bbr_packetsim::prelude::*;
 
 fn main() {
@@ -22,7 +21,9 @@ fn main() {
     };
     let n: usize = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(1);
     let cap: f64 = args.get(4).map(|s| s.parse().unwrap()).unwrap_or(20.0);
-    let spec = DumbbellSpec::new(n, cap, 0.010, 1.0, qdisc).ccas(vec![kind]);
+    let spec = ScenarioSpec::dumbbell(n, cap, 0.010, 1.0)
+        .ccas(vec![kind])
+        .qdisc(qdisc);
     let cfg = SimConfig {
         duration: 5.0,
         warmup: 1.0,
@@ -30,7 +31,7 @@ fn main() {
         trace_bin: Some(0.25),
         ..Default::default()
     };
-    let r = run_dumbbell(&spec, &cfg);
+    let r = run_path(&path_network_for_spec(&spec), &cfg);
     println!(
         "util={:.1}% loss={:.2}% occ={:.1}% jain={:.3} jitter={:.3}ms",
         r.utilization_percent, r.loss_percent, r.occupancy_percent, r.jain, r.jitter_ms

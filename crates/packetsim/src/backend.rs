@@ -26,12 +26,11 @@
 
 use bbr_scenario::{
     run_seed, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology, CHAIN_ACCESS_DELAY,
+    PARKING_LOT_ACCESS_DELAY,
 };
 
-use crate::dumbbell::{DumbbellSpec, PacketSimReport};
 use crate::engine::SimConfig;
-use crate::parking_lot::ParkingLotSpec;
-use crate::path::{run_path, PathFlowSpec, PathLinkSpec, PathNetwork};
+use crate::path::{run_path, PacketSimReport, PathFlowSpec, PathLinkSpec, PathNetwork};
 
 /// The packet simulator as a [`SimBackend`].
 #[derive(Debug, Clone)]
@@ -84,7 +83,9 @@ impl PacketBackend {
 /// simulators derive their wiring from the same declarative topology.
 /// Dumbbells and parking lots are degenerate paths (byte-identical to
 /// the historical hand-wired runners); chains are genuine multi-link
-/// paths mirroring the fluid model's chain network hop for hop.
+/// paths mirroring the fluid model's chain network hop for hop. Every
+/// family staggers its flow starts (i · 5 ms) to avoid artificial phase
+/// lock.
 pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
     match &spec.topology {
         &Topology::Dumbbell {
@@ -94,24 +95,82 @@ pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
             buffer_bdp,
             rtt_lo,
             rtt_hi,
-        } => DumbbellSpec::new(n, capacity, bottleneck_delay, buffer_bdp, spec.qdisc)
-            .rtt_range(rtt_lo, rtt_hi)
-            .ccas(spec.ccas.clone())
-            .path_network(),
+        } => PathNetwork {
+            links: vec![PathLinkSpec {
+                rate: capacity * 1e6 / 8.0, // bytes/s
+                prop_delay: bottleneck_delay,
+                // `buffer_bdp` × the BDP of the bottleneck link
+                // (`capacity · bottleneck_delay`, §4.1.3), in bytes.
+                buffer: buffer_bdp * capacity * 1e6 / 8.0 * bottleneck_delay,
+                qdisc: spec.qdisc,
+            }],
+            flows: (0..n)
+                .map(|i| {
+                    // Total propagation RTTs spread evenly over
+                    // [rtt_lo, rtt_hi] (a lone sender takes the midpoint);
+                    // RTT = 2·(access + bottleneck delay).
+                    let frac = if n > 1 {
+                        i as f64 / (n - 1) as f64
+                    } else {
+                        0.5
+                    };
+                    let rtt = rtt_lo + frac * (rtt_hi - rtt_lo);
+                    let access = (rtt / 2.0 - bottleneck_delay).max(0.0);
+                    PathFlowSpec {
+                        links: vec![0],
+                        access_delay: access,
+                        bwd_delay: access + bottleneck_delay,
+                        cca: spec.cca_of(i),
+                        start: i as f64 * 0.005,
+                        stop: f64::INFINITY,
+                        gaps: Vec::new(),
+                    }
+                })
+                .collect(),
+            headline: 0,
+        },
         &Topology::ParkingLot {
             c1,
             c2,
             link_delay,
             buffer_bdp,
-        } => ParkingLotSpec {
-            c1_mbps: c1,
-            c2_mbps: c2,
-            link_delay,
-            buffer_bytes: buffer_bdp * c1 * 1e6 / 8.0 * link_delay,
-            qdisc: spec.qdisc,
-            ccas: [spec.cca_of(0), spec.cca_of(1), spec.cca_of(2)],
+        } => {
+            // Both links get `buffer_bdp` × the first link's BDP.
+            let buffer = buffer_bdp * c1 * 1e6 / 8.0 * link_delay;
+            let access = PARKING_LOT_ACCESS_DELAY;
+            // Flow 0 crosses both links, flows 1 and 2 one each; return
+            // paths complete symmetric RTTs.
+            let routes: [Vec<u32>; 3] = [vec![0, 1], vec![0], vec![1]];
+            let bwd = [
+                access + 2.0 * link_delay,
+                access + link_delay,
+                access + link_delay,
+            ];
+            PathNetwork {
+                links: [c1, c2]
+                    .iter()
+                    .map(|&c| PathLinkSpec {
+                        rate: c * 1e6 / 8.0,
+                        prop_delay: link_delay,
+                        buffer,
+                        qdisc: spec.qdisc,
+                    })
+                    .collect(),
+                flows: (0..3)
+                    .map(|i| PathFlowSpec {
+                        links: routes[i].clone(),
+                        access_delay: access,
+                        bwd_delay: bwd[i],
+                        cca: spec.cca_of(i),
+                        start: i as f64 * 0.005,
+                        stop: f64::INFINITY,
+                        gaps: Vec::new(),
+                    })
+                    .collect(),
+                // The slower link is the headline (the first on a tie).
+                headline: usize::from(c2 < c1),
+            }
         }
-        .path_network(),
         &Topology::Chain {
             hops,
             capacity,
@@ -322,30 +381,147 @@ fn outcome(r: &PacketSimReport) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dumbbell::run_dumbbell;
     use bbr_scenario::CcaKind;
 
+    /// The spec's path network run directly, keeping the full report.
+    fn run_spec(spec: &ScenarioSpec, cfg: &SimConfig) -> PacketSimReport {
+        run_path(&path_network_for_spec(spec), cfg)
+    }
+
+    fn quick_cfg() -> SimConfig {
+        SimConfig {
+            duration: 3.0,
+            warmup: 1.0,
+            seed: 1,
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn dumbbell_outcome_matches_direct_simulation() {
-        let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 2.0)
-            .ccas(vec![CcaKind::Reno])
-            .duration(1.5)
-            .warmup(0.5);
-        let out = PacketBackend::new(1).run(&spec, 42);
-        let direct = run_dumbbell(
-            &DumbbellSpec::new(2, 50.0, 0.010, 2.0, spec.qdisc)
-                .rtt_range(0.030, 0.040)
-                .ccas(vec![CcaKind::Reno]),
-            &SimConfig {
-                duration: 2.0,
-                warmup: 0.5,
-                seed: 42,
-                ..Default::default()
-            },
+    fn single_bbrv1_fills_the_bottleneck() {
+        let spec = ScenarioSpec::dumbbell(1, 50.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1]);
+        let r = run_spec(&spec, &quick_cfg());
+        assert!(
+            r.utilization_percent > 85.0,
+            "util {}",
+            r.utilization_percent
         );
-        assert_eq!(out.utilization_percent, direct.utilization_percent);
-        assert_eq!(out.jain, direct.jain);
-        assert_eq!(out.flows.len(), 2);
+        // Single-link dumbbell: headline == the only per-link entry.
+        assert_eq!(r.per_link_utilization.len(), 1);
+        assert_eq!(r.per_link_utilization[0], r.utilization_percent);
+        assert_eq!(r.per_link_loss[0], r.loss_percent);
+    }
+
+    #[test]
+    fn homogeneous_reno_is_fair() {
+        let spec = ScenarioSpec::dumbbell(4, 50.0, 0.010, 2.0).ccas(vec![CcaKind::Reno]);
+        let cfg = SimConfig {
+            duration: 8.0,
+            warmup: 2.0,
+            seed: 3,
+            ..Default::default()
+        };
+        let r = run_spec(&spec, &cfg);
+        assert!(r.jain > 0.8, "jain {}", r.jain);
+        assert!(r.utilization_percent > 80.0);
+    }
+
+    #[test]
+    fn bbrv1_starves_reno_in_shallow_buffers() {
+        // The paper's Insight 2 at packet level.
+        let spec =
+            ScenarioSpec::dumbbell(2, 50.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1, CcaKind::Reno]);
+        let cfg = SimConfig {
+            duration: 10.0,
+            warmup: 3.0,
+            seed: 5,
+            ..Default::default()
+        };
+        let r = run_spec(&spec, &cfg);
+        let bbr = r.flows[0].throughput_mbps;
+        let reno = r.flows[1].throughput_mbps;
+        assert!(
+            bbr > 2.0 * reno,
+            "BBRv1 {bbr} vs Reno {reno} — expected strong dominance"
+        );
+    }
+
+    #[test]
+    fn buffer_bytes_matches_bdp_definition() {
+        let spec = ScenarioSpec::dumbbell(2, 100.0, 0.010, 2.0).rtt_range(0.030, 0.040);
+        // Link BDP = 100e6/8 · 0.010 = 125000 B; ×2.
+        let buffer = path_network_for_spec(&spec).links[0].buffer;
+        assert!((buffer - 250_000.0).abs() < 1.0);
+    }
+
+    /// The parking lot of the classic experiments: 100 and 80 Mbit/s,
+    /// 10 ms links, 3 BDP of the first link (375 kB ≈ 1 BDP of
+    /// 100 Mbit/s × 30 ms) per link, drop-tail.
+    fn parking_lot(kind: CcaKind) -> ScenarioSpec {
+        ScenarioSpec::parking_lot(100.0, 80.0, 0.010, 3.0).ccas(vec![kind])
+    }
+
+    fn parking_lot_cfg() -> SimConfig {
+        SimConfig {
+            duration: 6.0,
+            warmup: 2.0,
+            seed: 3,
+            ..Default::default()
+        }
+    }
+
+    fn tput(r: &PacketSimReport, i: usize) -> f64 {
+        r.flows[i].throughput_mbps
+    }
+
+    #[test]
+    fn both_links_are_shared_and_saturated() {
+        let (c1, c2) = (100.0, 80.0);
+        let spec = parking_lot(CcaKind::BbrV2);
+        let net = path_network_for_spec(&spec);
+        assert_eq!(net.links[0].buffer, 375_000.0);
+        let r = run_spec(&spec, &parking_lot_cfg());
+        // Link 1 carries flows 0 and 1; link 2 carries flows 0 and 2.
+        let y1 = tput(&r, 0) + tput(&r, 1);
+        let y2 = tput(&r, 0) + tput(&r, 2);
+        assert!(y1 > 0.7 * c1, "link 1 carries {y1:.1}");
+        assert!(y2 > 0.7 * c2, "link 2 carries {y2:.1}");
+        assert!(y1 <= 1.05 * c1);
+        assert!(y2 <= 1.05 * c2);
+        // The headline metrics refer to the slower second link.
+        assert_eq!(net.headline, 1);
+        assert_eq!(r.utilization_percent, r.per_link_utilization[1]);
+        assert_eq!(r.per_link_utilization.len(), 2);
+    }
+
+    #[test]
+    fn multihop_flow_gets_less_than_single_hop_flows() {
+        // The classic parking-lot outcome: the flow crossing both
+        // bottlenecks loses against both single-hop competitors.
+        let r = run_spec(&parking_lot(CcaKind::BbrV2), &parking_lot_cfg());
+        assert!(
+            tput(&r, 0) < tput(&r, 1),
+            "multi-hop {:.1} vs hop-1 {:.1}",
+            tput(&r, 0),
+            tput(&r, 1)
+        );
+        assert!(
+            tput(&r, 0) < tput(&r, 2),
+            "multi-hop {:.1} vs hop-2 {:.1}",
+            tput(&r, 0),
+            tput(&r, 2)
+        );
+    }
+
+    #[test]
+    fn all_flows_make_progress() {
+        for kind in [CcaKind::Reno, CcaKind::BbrV1] {
+            let r = run_spec(&parking_lot(kind), &parking_lot_cfg());
+            for i in 0..3 {
+                let t = tput(&r, i);
+                assert!(t > 1.0, "{kind}: flow {i} got {t:.2} Mbit/s");
+            }
+        }
     }
 
     #[test]

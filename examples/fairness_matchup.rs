@@ -26,11 +26,18 @@ fn main() {
     let a = parse(args.first().map(|s| s.as_str()).unwrap_or("reno"));
     let b = parse(args.get(1).map(|s| s.as_str()).unwrap_or("bbr1"));
 
-    let scenario = Scenario::dumbbell(2, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056, 0.0056]);
-    let mut sim = scenario.build(&[a, b]).expect("valid scenario");
+    // Both senders behind a 5.6 ms access delay (a one-link custom
+    // layout), 100 Mbit/s, 10 ms bottleneck, 1-BDP drop-tail buffer.
+    let route = CustomRoute::new(vec![0], 0.0056, 0.0056 + 0.010);
+    let spec = ScenarioSpec::custom(
+        vec![CustomLink::new(100.0, 0.010, 1.0)],
+        vec![route.clone(), route],
+    )
+    .ccas(vec![a, b])
+    .duration(9.0);
+    let mut sim = simulator_for_spec(&spec, &ModelConfig::default()).expect("valid scenario");
     sim.enable_trace(5_000);
-    let report = sim.run(9.0);
+    let report = sim.run(spec.duration);
 
     println!("{a} vs {b}, 9 s, 1-BDP drop-tail buffer");
     println!(

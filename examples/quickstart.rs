@@ -11,13 +11,18 @@ use bbr_repro::fluid::prelude::*;
 fn main() {
     // The paper's §4.2 trace-validation setting: C = 100 Mbit/s,
     // bottleneck propagation delay 10 ms, access delay 5.6 ms, 1-BDP
-    // drop-tail buffer.
-    let scenario =
-        Scenario::dumbbell(1, 100.0, 0.010, 1.0, QdiscKind::DropTail).access_delays(vec![0.0056]);
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).expect("valid scenario");
+    // drop-tail buffer. An explicit access delay is a one-link custom
+    // layout; the return path adds the bottleneck delay once more.
+    let spec = ScenarioSpec::custom(
+        vec![CustomLink::new(100.0, 0.010, 1.0)],
+        vec![CustomRoute::new(vec![0], 0.0056, 0.0056 + 0.010)],
+    )
+    .ccas(vec![CcaKind::BbrV1])
+    .duration(5.0);
+    let mut sim = simulator_for_spec(&spec, &ModelConfig::default()).expect("valid scenario");
     sim.enable_trace(2_000); // sample every 2000 steps
 
-    let report = sim.run(5.0);
+    let report = sim.run(spec.duration);
     let m = &report.metrics;
     println!("BBRv1, 5 s fluid simulation");
     println!("  utilization : {:6.2} %", m.utilization_percent);

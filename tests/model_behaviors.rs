@@ -6,15 +6,25 @@ use bbr_repro::fluid::cca::{BbrV1, CcaKind, FluidCca};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::fluid::topology::{LinkId, LinkSpec, Network, PathSpec};
 
+/// Senders behind explicit one-way access delays sharing one bottleneck
+/// of `capacity` Mbit/s and 10 ms, the return path adding the bottleneck
+/// delay once more: a one-link custom layout, which keeps each delay
+/// exactly as written (an RTT range would round it).
+fn access_dumbbell(capacity: f64, buffer_bdp: f64, access: &[f64]) -> ScenarioSpec {
+    let routes = access
+        .iter()
+        .map(|&d| CustomRoute::new(vec![0], d, d + 0.010))
+        .collect();
+    ScenarioSpec::custom(vec![CustomLink::new(capacity, 0.010, buffer_bdp)], routes)
+}
+
 #[test]
 fn bbrv1_rtt_unfairness_in_deep_buffers() {
     // §4.3.1: in deep drop-tail buffers the fluid model predicts that
     // BBRv1 flows with *lower* RTT are throttled by their smaller 2-BDP
     // window, so higher-RTT flows win. Use a strong RTT difference.
-    let scenario = Scenario::dumbbell(2, 100.0, 0.010, 6.0, QdiscKind::DropTail)
-        .access_delays(vec![0.002, 0.040])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+    let spec = access_dumbbell(100.0, 6.0, &[0.002, 0.040]).ccas(vec![CcaKind::BbrV1]);
+    let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
     let m = sim.run(6.0).metrics;
@@ -31,10 +41,8 @@ fn bbrv1_probe_rtt_cycle_in_full_model() {
     // A single BBRv1 flow with an empty-queue equilibrium never
     // re-observes a smaller RTT, so it enters ProbeRTT every 10 s and
     // dips its rate to 4 segments/RTT for 200 ms.
-    let scenario = Scenario::dumbbell(1, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+    let spec = access_dumbbell(50.0, 2.0, &[0.0056]).ccas(vec![CcaKind::BbrV1]);
+    let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
     sim.enable_trace(20);
     let report = sim.run(11.0);
     let trace = report.trace.unwrap();
@@ -130,10 +138,11 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
     // Fig. 7b: under RED the loss of BBRv1 stays substantial across
     // buffer sizes (no shallow-to-deep cliff like drop-tail).
     let loss_at = |buffer: f64| {
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, buffer, QdiscKind::Red)
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, buffer)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+            .ccas(vec![CcaKind::BbrV1])
+            .qdisc(QdiscKind::Red);
+        let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
         sim.run(4.0).metrics.loss_percent
     };
     let shallow = loss_at(1.0);
@@ -142,10 +151,10 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
     assert!(deep > 1.0, "RED deep loss {deep:.2} %");
     // Drop-tail, by contrast, almost eliminates loss in deep buffers.
     let dt_deep = {
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, 6.0, QdiscKind::DropTail)
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, 6.0)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+            .ccas(vec![CcaKind::BbrV1]);
+        let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
         sim.run(4.0).metrics.loss_percent
     };
     assert!(
@@ -161,10 +170,8 @@ fn bbrv2_probe_cycle_period_scales_with_agent_index() {
     // agents' m_crs phases differ.
     // RTT 50 ms so 63·τ_min > 2 s and the wall-clock interval 2 + i/N
     // (distinct per agent) decides the period.
-    let scenario = Scenario::dumbbell(2, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.015, 0.015])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+    let spec = access_dumbbell(50.0, 2.0, &[0.015, 0.015]).ccas(vec![CcaKind::BbrV2]);
+    let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
     sim.enable_trace(20);
     let report = sim.run(4.0);
     let trace = report.trace.unwrap();
@@ -190,10 +197,8 @@ fn modelled_startup_converges_and_exits() {
         model_startup: true,
         ..ModelConfig::coarse()
     };
-    let scenario = Scenario::dumbbell(1, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056])
-        .config(cfg);
-    let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+    let spec = access_dumbbell(50.0, 2.0, &[0.0056]).ccas(vec![CcaKind::BbrV2]);
+    let mut sim = simulator_for_spec(&spec, &cfg).unwrap();
     sim.enable_trace(50);
     let report = sim.run(4.0);
     let trace = report.trace.unwrap();

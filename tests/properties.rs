@@ -112,10 +112,11 @@ proptest! {
     ) {
         let kind = [CcaKind::Reno, CcaKind::Cubic, CcaKind::BbrV1, CcaKind::BbrV2][kind_sel];
         let qdisc = if red { QdiscKind::Red } else { QdiscKind::DropTail };
-        let scenario = Scenario::dumbbell(n, 50.0, 0.010, buffer_bdp, qdisc)
+        let spec = ScenarioSpec::dumbbell(n, 50.0, 0.010, buffer_bdp)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[kind]).unwrap();
+            .ccas(vec![kind])
+            .qdisc(qdisc);
+        let mut sim = simulator_for_spec(&spec, &ModelConfig::coarse()).unwrap();
         sim.enable_trace(100);
         let report = sim.run(1.5);
         let buffer = sim.network().links[0].buffer;
@@ -141,14 +142,15 @@ proptest! {
 
     #[test]
     fn packet_sim_conservation(seed in 0u64..50, red in proptest::bool::ANY) {
-        use bbr_repro::packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
+        use bbr_repro::packetsim::backend::path_network_for_spec;
         use bbr_repro::packetsim::engine::SimConfig;
-        use bbr_repro::packetsim::qdisc::QdiscKind;
+        use bbr_repro::packetsim::path::run_path;
         let qdisc = if red { QdiscKind::Red } else { QdiscKind::DropTail };
-        let spec = DumbbellSpec::new(2, 20.0, 0.010, 1.0, qdisc)
-            .ccas(vec![CcaKind::Reno, CcaKind::BbrV2]);
+        let spec = ScenarioSpec::dumbbell(2, 20.0, 0.010, 1.0)
+            .ccas(vec![CcaKind::Reno, CcaKind::BbrV2])
+            .qdisc(qdisc);
         let cfg = SimConfig { duration: 1.5, warmup: 0.0, seed, ..Default::default() };
-        let r = run_dumbbell(&spec, &cfg);
+        let r = run_path(&path_network_for_spec(&spec), &cfg);
         // Rates bounded by capacity (+ small binning slack).
         for f in &r.flows {
             prop_assert!(f.throughput_mbps <= 20.0 * 1.05);
